@@ -5,7 +5,7 @@ use crate::detector::{DetectorError, FitReport};
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::optim::AdamW;
-use tranad_nn::{Ctx, ParamId, ParamStore};
+use tranad_nn::{ParamId, ParamStore, TrainCtx};
 use tranad_telemetry::Recorder;
 use tranad_tensor::{pool, Tensor, Var};
 
@@ -209,10 +209,10 @@ pub fn sgd_step(
     store: &mut ParamStore,
     opt: &mut AdamW,
     seed: u64,
-    forward: impl FnOnce(&Ctx) -> Var,
+    forward: impl FnOnce(&TrainCtx) -> Var,
 ) -> f64 {
     let (loss, grads): (f64, Vec<(ParamId, Tensor)>) = {
-        let ctx = Ctx::train(store, seed);
+        let ctx = TrainCtx::train(store, seed);
         let loss = forward(&ctx);
         loss.backward();
         (loss.value().item(), ctx.grads())

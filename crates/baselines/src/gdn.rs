@@ -13,7 +13,7 @@ use tranad_telemetry::Recorder;
 use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
 use tranad_nn::optim::AdamW;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore, Value};
 use tranad_tensor::{Tensor, Var};
 
 struct GdnState {

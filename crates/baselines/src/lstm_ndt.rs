@@ -10,7 +10,7 @@ use tranad_evt::{Ndt, NdtConfig};
 use tranad_nn::layers::Linear;
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::LstmCell;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore, Value};
 use tranad_telemetry::Recorder;
 use tranad_tensor::Tensor;
 

@@ -15,7 +15,7 @@ use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::LstmCell;
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore, Value};
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore, TrainCtx, Value};
 use tranad_tensor::Tensor;
 
 struct MadGanState {
@@ -152,7 +152,7 @@ impl Detector for MadGan {
                     let st = &state;
                     let disc_ids = disc_ids.clone();
                     let grads: Vec<_> = {
-                        let ctx = Ctx::train(&store, cfg.seed ^ epoch as u64);
+                        let ctx = TrainCtx::train(&store, cfg.seed ^ epoch as u64);
                         let wv = ctx.input(w.clone());
                         let recon_flat = Self::reconstruct(st, &ctx, &wv);
                         let target = ctx.input(crate::common::flatten_windows(&w));
@@ -180,7 +180,7 @@ impl Detector for MadGan {
                     let st = &state;
                     let disc_ids = disc_ids.clone();
                     let grads: Vec<_> = {
-                        let ctx = Ctx::train(&store, cfg.seed ^ 0xD ^ epoch as u64);
+                        let ctx = TrainCtx::train(&store, cfg.seed ^ 0xD ^ epoch as u64);
                         let wv = ctx.input(w.clone());
                         // Detach the reconstruction: the discriminator step
                         // must not move generator weights.

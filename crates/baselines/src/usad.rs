@@ -16,7 +16,7 @@ use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
 use tranad_nn::optim::AdamW;
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore, TrainCtx, Value};
 
 struct UsadState {
     store: ParamStore,
@@ -166,7 +166,7 @@ impl Detector for Usad {
                 // Decoder-2 update (adversarial).
                 {
                     let (grads, _) = {
-                        let ctx = Ctx::train(&state.store, cfg.seed ^ 0xD2 ^ epoch as u64);
+                        let ctx = TrainCtx::train(&state.store, cfg.seed ^ 0xD2 ^ epoch as u64);
                         let f = ctx.input(flat.clone());
                         let target = ctx.input(flat.clone());
                         let (_, ae2, ae2_ae1) = Self::forward(&state, &ctx, &f);

@@ -15,8 +15,8 @@ use tranad_baselines::{Merlin, MerlinConfig};
 use tranad_data::{generate, DatasetKind, GenConfig, SignalRng, TimeSeries, Windows};
 use tranad_evt::{Pot, PotConfig};
 use tranad_nn::attention::{causal_mask, scaled_dot_attention};
-use tranad_nn::{Ctx, Init, ParamStore};
-use tranad_tensor::{pool, Tape, Tensor};
+use tranad_nn::{Init, ParamStore, TrainCtx};
+use tranad_tensor::{pool, Tape, Tensor, Value};
 
 /// Times `f`, printing the median per-iteration wall-clock time.
 fn bench(name: &str, mut f: impl FnMut()) {
@@ -150,7 +150,7 @@ fn bench_tranad_step() {
     let w = Tensor::from_fn([32, cfg.window, 8], |i| ((i % 13) as f64) / 13.0);
     let cx = Tensor::from_fn([32, cfg.context, 8], |i| ((i % 11) as f64) / 11.0);
     bench("tranad/two_phase_forward_backward_b32_m8", || {
-        let ctx = Ctx::train(&store, 0);
+        let ctx = TrainCtx::train(&store, 0);
         let wv = ctx.input(w.clone());
         let cv = ctx.input(cx.clone());
         let out = model.forward(&ctx, &wv, &cv);

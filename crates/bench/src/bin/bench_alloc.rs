@@ -12,7 +12,7 @@ use tranad::train::{train, train_with};
 use tranad::{OnlineState, PotConfig};
 use tranad_bench::alloc_count::{self, CountingAlloc};
 use tranad_data::{SignalRng, TimeSeries, Windows};
-use tranad_nn::Ctx;
+use tranad_nn::TrainCtx;
 use tranad_telemetry::{MemorySink, Recorder};
 
 #[global_allocator]
@@ -145,7 +145,7 @@ fn main() {
     let c_t = windows.context_batch_range(n - 1, n, cfg.context);
     let before = alloc_count::counts();
     for _ in 0..pushes {
-        let ctx = Ctx::eval(&trained.store);
+        let ctx = TrainCtx::eval(&trained.store);
         let w = ctx.input(w_t.clone());
         let c = ctx.input(c_t.clone());
         let out = trained.model.forward(&ctx, &w, &c);

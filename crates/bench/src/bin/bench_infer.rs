@@ -1,6 +1,6 @@
 //! Taped vs tape-free inference throughput.
 //!
-//! Scores the same trained model through the tape-backed `Ctx::eval` path
+//! Scores the same trained model through the tape-backed `TrainCtx::eval` path
 //! (what serving ran before the `Fwd`/`InferCtx` refactor) and the
 //! tape-free path (what it runs now), for both batch scoring and
 //! single-point online pushes. Prints windows/sec and pushes/sec for each
@@ -14,7 +14,7 @@ use tranad::config::TranadConfig;
 use tranad::train::{train, TrainedTranad};
 use tranad::{OnlineState, PotConfig};
 use tranad_data::{SignalRng, TimeSeries, Windows};
-use tranad_nn::Ctx;
+use tranad_nn::TrainCtx;
 
 fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
     let mut rng = SignalRng::new(seed);
@@ -51,7 +51,7 @@ fn taped_score(trained: &TrainedTranad, normalized: &TimeSeries) {
     let bs = config.batch_size.max(1);
     for start in (0..n).step_by(bs) {
         let end = (start + bs).min(n);
-        let ctx = Ctx::eval(&trained.store);
+        let ctx = TrainCtx::eval(&trained.store);
         let w = ctx.input(windows.batch_range(start, end));
         let c = ctx.input(windows.context_batch_range(start, end, config.context));
         let out = trained.model.forward(&ctx, &w, &c);
@@ -118,7 +118,7 @@ fn main() {
     let c_t = w_windows.context_batch_range(n - 1, n, cfg.context);
     let start = Instant::now();
     for _ in 0..pushes {
-        let ctx = Ctx::eval(&trained.store);
+        let ctx = TrainCtx::eval(&trained.store);
         let w = ctx.input(w_t.clone());
         let c = ctx.input(c_t.clone());
         let out = trained.model.forward(&ctx, &w, &c);
@@ -137,7 +137,7 @@ fn main() {
 
     if let Some(path) = out_path {
         let json = format!(
-            "{{\n  \"comment\": \"Inference throughput, taped Ctx::eval vs tape-free InferCtx, from `bench-infer` (best of {reps} runs; {} windows batch, {pushes} online pushes, 4 dims). The online taped column times only the forward pass — the real pre-refactor push did strictly more work.\",\n  \"batch\": {{ \"taped_windows_per_s\": {batch_taped:.0}, \"tape_free_windows_per_s\": {batch_free:.0}, \"speedup\": {:.2} }},\n  \"online\": {{ \"taped_pushes_per_s\": {online_taped:.0}, \"tape_free_pushes_per_s\": {online_free:.0}, \"speedup\": {:.2} }}\n}}\n",
+            "{{\n  \"comment\": \"Inference throughput, taped TrainCtx::eval vs tape-free InferCtx, from `bench-infer` (best of {reps} runs; {} windows batch, {pushes} online pushes, 4 dims). The online taped column times only the forward pass — the real pre-refactor push did strictly more work.\",\n  \"batch\": {{ \"taped_windows_per_s\": {batch_taped:.0}, \"tape_free_windows_per_s\": {batch_free:.0}, \"speedup\": {:.2} }},\n  \"online\": {{ \"taped_pushes_per_s\": {online_taped:.0}, \"tape_free_pushes_per_s\": {online_free:.0}, \"speedup\": {:.2} }}\n}}\n",
             test.len(),
             batch_free / batch_taped,
             online_free / online_taped,

@@ -137,7 +137,7 @@ impl MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
+    use crate::ctx::TrainCtx;
     use crate::param::{Init, ParamStore};
     use tranad_tensor::check::assert_gradients_match;
 
@@ -155,7 +155,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Init::with_seed(0);
         let mha = MultiHeadAttention::new(&mut store, &mut init, 8, 2);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::from_fn([3, 5, 8], |i| (i as f64 * 0.1).sin()));
         let y = mha.self_attention(&ctx, &x, None);
         assert_eq!(y.shape().dims(), &[3, 5, 8]);
@@ -166,7 +166,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Init::with_seed(0);
         let mha = MultiHeadAttention::new(&mut store, &mut init, 4, 2);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let q = ctx.input(Tensor::ones([2, 3, 4]));
         let kv = ctx.input(Tensor::ones([2, 7, 4]));
         let y = mha.forward(&ctx, &q, &kv, &kv, None);
@@ -180,7 +180,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Init::with_seed(1);
         let mha = MultiHeadAttention::new(&mut store, &mut init, 4, 1);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let mask = ctx.input(causal_mask(3));
 
         let base = Tensor::from_fn([1, 3, 4], |i| (i as f64 * 0.3).cos());
@@ -208,7 +208,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Init::with_seed(2);
         let mha = MultiHeadAttention::new(&mut store, &mut init, 6, 3);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::from_fn([1, 4, 6], |i| (i as f64 * 0.17).sin()));
         let w = mha.attention_weights(&ctx, &x, &x, None);
         assert_eq!(w.shape().dims(), &[1, 4, 4]);

@@ -5,7 +5,7 @@
 use crate::param::{ParamId, ParamStore};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use tranad_tensor::{Rng, Tape, Tensor, Var};
+use tranad_tensor::{Rng, Tape, Tensor, Value, Var};
 
 /// One forward/backward pass worth of state.
 ///
@@ -20,11 +20,6 @@ pub struct TrainCtx<'a> {
     /// Whether stochastic layers (dropout) are active.
     pub training: bool,
 }
-
-/// Historical name for [`TrainCtx`] — the taped context predates the
-/// taped/tape-free split and most call sites (training, tests, docs) still
-/// read naturally as `Ctx`.
-pub type Ctx<'a> = TrainCtx<'a>;
 
 impl<'a> TrainCtx<'a> {
     /// A training-mode context (dropout active) with a seeded RNG.
@@ -119,7 +114,7 @@ mod tests {
     fn param_leaf_is_cached() {
         let mut store = ParamStore::new();
         let id = store.add(Tensor::from_slice(&[2.0]));
-        let ctx = Ctx::train(&store, 0);
+        let ctx = TrainCtx::train(&store, 0);
         let a = ctx.param(id);
         let b = ctx.param(id);
         // Reuse must accumulate gradient in one leaf: d(x*x)/dx = 2x = 4.
@@ -133,7 +128,7 @@ mod tests {
     #[test]
     fn dropout_eval_is_identity() {
         let store = ParamStore::new();
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::ones([4, 4]));
         let y = ctx.dropout(&x, 0.5);
         assert_eq!(y.value().data(), x.value().data());
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn dropout_train_scales_kept_units() {
         let store = ParamStore::new();
-        let ctx = Ctx::train(&store, 3);
+        let ctx = TrainCtx::train(&store, 3);
         let x = ctx.input(Tensor::ones([100, 10]));
         let y = ctx.dropout(&x, 0.5).value();
         let kept = y.data().iter().filter(|&&v| v != 0.0).count();
@@ -158,7 +153,7 @@ mod tests {
         let mut store = ParamStore::new();
         let a = store.add(Tensor::from_slice(&[1.0]));
         let _unused = store.add(Tensor::from_slice(&[1.0]));
-        let ctx = Ctx::train(&store, 0);
+        let ctx = TrainCtx::train(&store, 0);
         let loss = ctx.param(a).square().sum_all();
         loss.backward();
         assert_eq!(ctx.grads().len(), 1);

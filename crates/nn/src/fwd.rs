@@ -1,22 +1,24 @@
 //! The two-mode forward abstraction: model code is written once against
 //! [`Fwd`] / [`Value`] and runs either **taped** (training — every op records
-//! a tape node with a backward closure, via [`TrainCtx`](crate::ctx::TrainCtx)
-//! and [`Var`]) or **tape-free** (serving — plain eager tensor kernels, via
-//! [`InferCtx`] and [`Tensor`]).
+//! a tape node with a backward closure, via [`TrainCtx`] and [`Var`]) or
+//! **tape-free** (serving — plain eager tensor kernels, via [`InferCtx`] and
+//! [`Tensor`]).
 //!
 //! ## Determinism argument
 //!
-//! The tape-free path is bitwise-identical to the taped forward pass by
-//! construction: every [`Var`] forward op *is* an eager [`Tensor`] kernel
-//! call (the tape node only adds bookkeeping for backward), and the
-//! [`Value`] impl for [`Tensor`] invokes exactly the same kernels with
-//! exactly the same operand order. No reassociation, no fused-multiply-add,
-//! no skipped work — the only differences are the absent tape allocations
-//! and the absent `op.*` telemetry spans, neither of which touches an f64.
-//! The eager kernels themselves are thread-count-invariant (task boundaries
-//! depend only on problem size), so taped-vs-tape-free parity holds at any
-//! `TRANAD_THREADS` setting. `crates/tranad/tests/infer_parity.rs` asserts
-//! all of this bit-for-bit.
+//! Taped-vs-tape-free parity is structural: [`Value`] lives in
+//! `tranad-tensor`, where `impl Value for Tensor` is the only definition of
+//! each op's forward value, and every `impl Value for Var` body computes its
+//! output by calling that impl on its input values before recording a tape
+//! node. The one exception is layer norm: `Var::layer_norm_last` and
+//! `Var::layer_norm_affine` call `Tensor::layer_norm_parts` because backward
+//! needs the `inv_std` and `normed` values it returns, while the tape-free
+//! `layer_norm_affine` is a fused kernel with a documented bitwise contract.
+//! Beyond that, the only differences are the absent tape allocations and the
+//! absent `op.*` telemetry spans, neither of which touches an f64. The eager
+//! kernels themselves are thread-count-invariant (task boundaries depend only
+//! on problem size), so parity holds at any `TRANAD_THREADS` setting.
+//! `crates/tranad/tests/infer_parity.rs` asserts all of this bit-for-bit.
 //!
 //! ## Workspace lifecycle
 //!
@@ -28,280 +30,9 @@
 
 use crate::ctx::TrainCtx;
 use crate::param::{ParamId, ParamStore};
-use tranad_tensor::{Act, Shape, Tensor, Var};
+use tranad_tensor::{Tensor, Var};
 
-/// The op surface a forward pass may use, implemented by the taped [`Var`]
-/// and the tape-free [`Tensor`]. Semantics (and bit patterns) of every op
-/// are identical between the two; only the bookkeeping differs.
-pub trait Value: Clone {
-    /// Elementwise (broadcasting) addition.
-    fn add(&self, other: &Self) -> Self;
-    /// Elementwise (broadcasting) subtraction.
-    fn sub(&self, other: &Self) -> Self;
-    /// Elementwise (broadcasting) multiplication.
-    fn mul(&self, other: &Self) -> Self;
-    /// Elementwise (broadcasting) division.
-    fn div(&self, other: &Self) -> Self;
-    /// Negation.
-    fn neg(&self) -> Self;
-    /// Multiplication by a constant.
-    fn scale(&self, c: f64) -> Self;
-    /// Addition of a constant.
-    fn add_scalar(&self, c: f64) -> Self;
-    /// Matrix product (rank pairs as in [`Tensor::matmul`]).
-    fn matmul(&self, other: &Self) -> Self;
-    /// Swap of the last two dimensions.
-    fn transpose(&self) -> Self;
-    /// Shape reinterpretation (element count preserved).
-    fn reshape(&self, shape: impl Into<Shape>) -> Self;
-    /// Elementwise `exp`.
-    fn exp(&self) -> Self;
-    /// Elementwise natural log.
-    fn ln(&self) -> Self;
-    /// Elementwise square root.
-    fn sqrt(&self) -> Self;
-    /// Elementwise square.
-    fn square(&self) -> Self;
-    /// Elementwise absolute value.
-    fn abs(&self) -> Self;
-    /// Logistic sigmoid.
-    fn sigmoid(&self) -> Self;
-    /// Hyperbolic tangent.
-    fn tanh(&self) -> Self;
-    /// Rectified linear unit.
-    fn relu(&self) -> Self;
-    /// Softmax over the last dimension.
-    fn softmax_last(&self) -> Self;
-    /// Layer normalization over the last dimension (no affine).
-    fn layer_norm_last(&self, eps: f64) -> Self;
-    /// Fused `act(self @ w + b)`.
-    fn linear_act(&self, w: &Self, b: Option<&Self>, act: Act) -> Self;
-    /// Fused `layer_norm(self) * gamma + beta`.
-    fn layer_norm_affine(&self, gamma: &Self, beta: &Self, eps: f64) -> Self;
-    /// Fused `(self @ other^T) * scale` (attention scores).
-    fn matmul_t_scaled(&self, other: &Self, scale: f64) -> Self;
-    /// Sum of all elements (rank-0 result).
-    fn sum_all(&self) -> Self;
-    /// Mean of all elements (rank-0 result).
-    fn mean_all(&self) -> Self;
-    /// Sum over the last dimension, dropping it.
-    fn sum_last(&self) -> Self;
-    /// Mean over the last dimension, dropping it.
-    fn mean_last(&self) -> Self;
-    /// Concatenation along the last dimension.
-    fn concat_last(parts: &[Self]) -> Self;
-    /// `len` columns of the last dimension starting at `start`.
-    fn narrow_last(&self, start: usize, len: usize) -> Self;
-    /// The current value as a plain tensor (O(1) shared-storage handle).
-    fn value(&self) -> Tensor;
-    /// The shape of the current value.
-    fn shape(&self) -> Shape;
-
-    /// Mean squared error against `target`: `mean((self - target)^2)`.
-    fn mse(&self, target: &Self) -> Self {
-        self.sub(target).square().mean_all()
-    }
-}
-
-impl Value for Var {
-    fn add(&self, other: &Self) -> Self {
-        Var::add(self, other)
-    }
-    fn sub(&self, other: &Self) -> Self {
-        Var::sub(self, other)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        Var::mul(self, other)
-    }
-    fn div(&self, other: &Self) -> Self {
-        Var::div(self, other)
-    }
-    fn neg(&self) -> Self {
-        Var::neg(self)
-    }
-    fn scale(&self, c: f64) -> Self {
-        Var::scale(self, c)
-    }
-    fn add_scalar(&self, c: f64) -> Self {
-        Var::add_scalar(self, c)
-    }
-    fn matmul(&self, other: &Self) -> Self {
-        Var::matmul(self, other)
-    }
-    fn transpose(&self) -> Self {
-        Var::transpose(self)
-    }
-    fn reshape(&self, shape: impl Into<Shape>) -> Self {
-        Var::reshape(self, shape)
-    }
-    fn exp(&self) -> Self {
-        Var::exp(self)
-    }
-    fn ln(&self) -> Self {
-        Var::ln(self)
-    }
-    fn sqrt(&self) -> Self {
-        Var::sqrt(self)
-    }
-    fn square(&self) -> Self {
-        Var::square(self)
-    }
-    fn abs(&self) -> Self {
-        Var::abs(self)
-    }
-    fn sigmoid(&self) -> Self {
-        Var::sigmoid(self)
-    }
-    fn tanh(&self) -> Self {
-        Var::tanh(self)
-    }
-    fn relu(&self) -> Self {
-        Var::relu(self)
-    }
-    fn softmax_last(&self) -> Self {
-        Var::softmax_last(self)
-    }
-    fn layer_norm_last(&self, eps: f64) -> Self {
-        Var::layer_norm_last(self, eps)
-    }
-    fn linear_act(&self, w: &Self, b: Option<&Self>, act: Act) -> Self {
-        Var::linear_act(self, w, b, act)
-    }
-    fn layer_norm_affine(&self, gamma: &Self, beta: &Self, eps: f64) -> Self {
-        Var::layer_norm_affine(self, gamma, beta, eps)
-    }
-    fn matmul_t_scaled(&self, other: &Self, scale: f64) -> Self {
-        Var::matmul_t_scaled(self, other, scale)
-    }
-    fn sum_all(&self) -> Self {
-        Var::sum_all(self)
-    }
-    fn mean_all(&self) -> Self {
-        Var::mean_all(self)
-    }
-    fn sum_last(&self) -> Self {
-        Var::sum_last(self)
-    }
-    fn mean_last(&self) -> Self {
-        Var::mean_last(self)
-    }
-    fn concat_last(parts: &[Self]) -> Self {
-        Var::concat_last(parts)
-    }
-    fn narrow_last(&self, start: usize, len: usize) -> Self {
-        Var::narrow_last(self, start, len)
-    }
-    fn value(&self) -> Tensor {
-        Var::value(self)
-    }
-    fn shape(&self) -> Shape {
-        Var::shape(self)
-    }
-    fn mse(&self, target: &Self) -> Self {
-        Var::mse(self, target)
-    }
-}
-
-// Each body below is copied verbatim from the forward expression of the
-// corresponding `Var` op in `tranad_tensor::tape` — that, and nothing else,
-// is what makes taped and tape-free outputs bitwise identical. Change the
-// two together or `infer_parity` tests will fail.
-impl Value for Tensor {
-    fn add(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a + b)
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a - b)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a * b)
-    }
-    fn div(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a / b)
-    }
-    fn neg(&self) -> Self {
-        self.map(|x| -x)
-    }
-    fn scale(&self, c: f64) -> Self {
-        self.map(|x| x * c)
-    }
-    fn add_scalar(&self, c: f64) -> Self {
-        self.map(|x| x + c)
-    }
-    fn matmul(&self, other: &Self) -> Self {
-        Tensor::matmul(self, other)
-    }
-    fn transpose(&self) -> Self {
-        Tensor::transpose(self)
-    }
-    fn reshape(&self, shape: impl Into<Shape>) -> Self {
-        Tensor::reshape(self, shape)
-    }
-    fn exp(&self) -> Self {
-        self.map(f64::exp)
-    }
-    fn ln(&self) -> Self {
-        self.map(f64::ln)
-    }
-    fn sqrt(&self) -> Self {
-        self.map(f64::sqrt)
-    }
-    fn square(&self) -> Self {
-        self.map(|x| x * x)
-    }
-    fn abs(&self) -> Self {
-        self.map(f64::abs)
-    }
-    fn sigmoid(&self) -> Self {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
-    }
-    fn tanh(&self) -> Self {
-        self.map(f64::tanh)
-    }
-    fn relu(&self) -> Self {
-        self.map(|x| x.max(0.0))
-    }
-    fn softmax_last(&self) -> Self {
-        Tensor::softmax_last(self)
-    }
-    fn layer_norm_last(&self, eps: f64) -> Self {
-        self.layer_norm_parts(eps).0
-    }
-    fn linear_act(&self, w: &Self, b: Option<&Self>, act: Act) -> Self {
-        self.matmul_bias_act(w, b, act)
-    }
-    fn layer_norm_affine(&self, gamma: &Self, beta: &Self, eps: f64) -> Self {
-        Tensor::layer_norm_affine(self, gamma, beta, eps)
-    }
-    fn matmul_t_scaled(&self, other: &Self, scale: f64) -> Self {
-        self.matmul_nt_scaled(other, scale)
-    }
-    fn sum_all(&self) -> Self {
-        Tensor::scalar(self.sum())
-    }
-    fn mean_all(&self) -> Self {
-        Tensor::scalar(self.mean())
-    }
-    fn sum_last(&self) -> Self {
-        Tensor::sum_last(self)
-    }
-    fn mean_last(&self) -> Self {
-        Tensor::mean_last(self)
-    }
-    fn concat_last(parts: &[Self]) -> Self {
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Tensor::concat_last(&refs)
-    }
-    fn narrow_last(&self, start: usize, len: usize) -> Self {
-        Tensor::narrow_last(self, start, len)
-    }
-    fn value(&self) -> Tensor {
-        self.clone()
-    }
-    fn shape(&self) -> Shape {
-        *Tensor::shape(self)
-    }
-}
+pub use tranad_tensor::Value;
 
 /// A forward-pass context: hands model code its parameters and inputs as
 /// [`Value`]s and hosts the stochastic bits (dropout). Layers are written
@@ -417,105 +148,15 @@ impl Fwd for InferCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
-
-    /// Bitwise slice equality (NaN == NaN, unlike `f64` equality).
-    fn assert_bits_eq(a: &[f64], b: &[f64], name: &str) {
-        let (ab, bb): (Vec<u64>, Vec<u64>) =
-            (a.iter().map(|v| v.to_bits()).collect(), b.iter().map(|v| v.to_bits()).collect());
-        assert_eq!(ab, bb, "{name}");
-    }
-
-    /// Deterministic pseudo-random tensor (mirrors `tape.rs` tests).
-    fn pseudo(shape: impl Into<Shape>, seed: u64) -> Tensor {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        Tensor::from_fn(shape, |_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 2000) as f64 / 1000.0 - 1.0
-        })
-    }
-
-    #[test]
-    fn tensor_ops_match_var_ops_bitwise() {
-        let a = pseudo([2, 3, 4], 1);
-        let b = pseudo([2, 3, 4], 2);
-        let w = pseudo([4, 5], 3);
-        let bias = pseudo([5], 4);
-        let gamma = pseudo([4], 5);
-        let beta = pseudo([4], 6);
-
-        let store = ParamStore::new();
-        let ctx = Ctx::eval(&store);
-        let (va, vb) = (ctx.input(a.clone()), ctx.input(b.clone()));
-        let (vw, vbias) = (ctx.input(w.clone()), ctx.input(bias.clone()));
-        let (vg, vbeta) = (ctx.input(gamma.clone()), ctx.input(beta.clone()));
-
-        #[allow(clippy::type_complexity)]
-        let unary: &[(&str, fn(&Tensor) -> Tensor, fn(&Var) -> Var)] = &[
-            ("neg", |x| Value::neg(x), |x| x.neg()),
-            ("exp", |x| Value::exp(x), |x| x.exp()),
-            ("sqrt", |x| Value::sqrt(x), |x| x.sqrt()),
-            ("square", |x| Value::square(x), |x| x.square()),
-            ("abs", |x| Value::abs(x), |x| x.abs()),
-            ("sigmoid", |x| Value::sigmoid(x), |x| x.sigmoid()),
-            ("tanh", |x| Value::tanh(x), |x| x.tanh()),
-            ("relu", |x| Value::relu(x), |x| x.relu()),
-            ("softmax", |x| Value::softmax_last(x), |x| x.softmax_last()),
-            ("ln_norm", |x| Value::layer_norm_last(x, 1e-5), |x| x.layer_norm_last(1e-5)),
-            ("sum_last", |x| Value::sum_last(x), |x| x.sum_last()),
-            ("mean_last", |x| Value::mean_last(x), |x| x.mean_last()),
-            ("sum_all", |x| Value::sum_all(x), |x| x.sum_all()),
-            ("mean_all", |x| Value::mean_all(x), |x| x.mean_all()),
-        ];
-        for (name, tf, vf) in unary {
-            assert_bits_eq(tf(&a).data(), vf(&va).value().data(), name);
-        }
-
-        assert_eq!(Value::add(&a, &b).data(), va.add(&vb).value().data());
-        assert_eq!(Value::sub(&a, &b).data(), va.sub(&vb).value().data());
-        assert_eq!(Value::mul(&a, &b).data(), va.mul(&vb).value().data());
-        assert_eq!(Value::div(&a, &b).data(), va.div(&vb).value().data());
-        assert_eq!(Value::scale(&a, 0.37).data(), va.scale(0.37).value().data());
-        assert_eq!(Value::add_scalar(&a, -0.2).data(), va.add_scalar(-0.2).value().data());
-        assert_eq!(Value::matmul(&a, &w).data(), va.matmul(&vw).value().data());
-        assert_eq!(
-            Value::linear_act(&a, &w, Some(&bias), Act::Tanh).data(),
-            va.linear_act(&vw, Some(&vbias), Act::Tanh).value().data()
-        );
-        assert_eq!(
-            Value::layer_norm_affine(&a, &gamma, &beta, 1e-5).data(),
-            va.layer_norm_affine(&vg, &vbeta, 1e-5).value().data()
-        );
-        assert_eq!(
-            Value::matmul_t_scaled(&a, &b, 0.5).data(),
-            va.matmul_t_scaled(&vb, 0.5).value().data()
-        );
-        assert_eq!(
-            Value::concat_last(&[a.clone(), b.clone()]).data(),
-            Var::concat_last(&[va.clone(), vb.clone()]).value().data()
-        );
-        assert_eq!(
-            Value::narrow_last(&a, 1, 2).data(),
-            va.narrow_last(1, 2).value().data()
-        );
-        assert_eq!(Value::mse(&a, &b).data(), va.mse(&vb).value().data());
-        assert_eq!(Value::transpose(&a).data(), va.transpose().value().data());
-        assert_eq!(
-            Value::reshape(&a, [6, 4]).shape().dims(),
-            va.reshape([6, 4]).shape().dims()
-        );
-    }
 
     #[test]
     fn infer_ctx_hands_out_shared_params_and_identity_dropout() {
         let mut store = ParamStore::new();
-        let id = store.add(pseudo([3, 3], 9));
+        let id = store.add(Tensor::from_fn([3, 3], |i| i as f64));
         let ctx = InferCtx::new(&store);
         let p = ctx.param(id);
         assert!(p.shares_storage(store.get(id)), "param must be an O(1) handle");
-        let x = ctx.input(pseudo([4, 4], 10));
+        let x = ctx.input(Tensor::from_fn([4, 4], |i| 1.0 - i as f64));
         let y = ctx.dropout(&x, 0.9);
         assert_eq!(x.data(), y.data());
         assert!(!ctx.training());

@@ -172,7 +172,7 @@ impl FeedForward {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
+    use crate::ctx::TrainCtx;
     use tranad_tensor::check::assert_gradients_match;
 
     fn setup() -> (ParamStore, Init) {
@@ -183,7 +183,7 @@ mod tests {
     fn linear_shapes() {
         let (mut store, mut init) = setup();
         let lin = Linear::new(&mut store, &mut init, 3, 5);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::ones([2, 3]));
         assert_eq!(lin.forward(&ctx, &x).shape().dims(), &[2, 5]);
         let x3 = ctx.input(Tensor::ones([4, 2, 3]));
@@ -198,7 +198,7 @@ mod tests {
         // overwrite weights with zeros, bias with [1, 2]
         store.set(crate::param::ParamId(0), Tensor::zeros([2, 2]));
         store.set(crate::param::ParamId(1), Tensor::from_slice(&[1.0, 2.0]));
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::ones([3, 2]));
         let y = lin.forward(&ctx, &x).value();
         assert_eq!(y.data(), &[1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
@@ -208,7 +208,7 @@ mod tests {
     fn linear_gradients_flow_to_params() {
         let (mut store, mut init) = setup();
         let lin = Linear::new(&mut store, &mut init, 3, 2);
-        let ctx = Ctx::train(&store, 0);
+        let ctx = TrainCtx::train(&store, 0);
         let x = ctx.input(Tensor::ones([4, 3]));
         let loss = lin.forward(&ctx, &x).square().mean_all();
         loss.backward();
@@ -221,7 +221,7 @@ mod tests {
     fn layer_norm_affine_identity_params() {
         let (mut store, _) = setup();
         let ln = LayerNorm::new(&mut store, 4);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]));
         let y = ln.forward(&ctx, &x).value();
         // gamma=1, beta=0 -> standardized output
@@ -239,7 +239,7 @@ mod tests {
             Activation::Sigmoid,
             0.0,
         );
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::from_fn([5, 4], |i| i as f64 - 10.0));
         let y = ff.forward(&ctx, &x).value();
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));

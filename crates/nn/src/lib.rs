@@ -6,18 +6,18 @@
 //!
 //! ## Architecture
 //!
-//! Parameters live in a [`ParamStore`]; each forward pass opens a [`Ctx`]
+//! Parameters live in a [`ParamStore`]; each forward pass opens a [`TrainCtx`]
 //! binding a fresh tape to the store, modules pull their parameters in as
 //! tape leaves, and after `backward()` the context hands gradients back as
 //! `(ParamId, Tensor)` pairs for [`optim::AdamW`] / [`optim::Sgd`].
 //!
 //! Layers are written once against the [`Fwd`] trait and run in two modes:
-//! taped through [`TrainCtx`] (the historical `Ctx`) for training, or
-//! tape-free through [`InferCtx`] for serving — plain tensor kernels, no
-//! tape nodes or backward closures, bitwise-identical outputs (see [`fwd`]).
+//! taped through [`TrainCtx`] for training, or tape-free through
+//! [`InferCtx`] for serving — plain tensor kernels, no tape nodes or
+//! backward closures, bitwise-identical outputs (see [`fwd`]).
 //!
 //! ```
-//! use tranad_nn::{Ctx, Init, ParamStore};
+//! use tranad_nn::{Init, ParamStore, TrainCtx, Value};
 //! use tranad_nn::layers::Linear;
 //! use tranad_nn::optim::AdamW;
 //! use tranad_tensor::Tensor;
@@ -29,7 +29,7 @@
 //!
 //! for _step in 0..10 {
 //!     let grads = {
-//!         let ctx = Ctx::train(&store, 0);
+//!         let ctx = TrainCtx::train(&store, 0);
 //!         let x = ctx.input(Tensor::ones([8, 4]));
 //!         let y = ctx.input(Tensor::zeros([8, 1]));
 //!         let loss = layer.forward(&ctx, &x).mse(&y);
@@ -50,6 +50,6 @@ pub mod param;
 pub mod rnn;
 pub mod transformer;
 
-pub use ctx::{Ctx, TrainCtx};
+pub use ctx::TrainCtx;
 pub use fwd::{Fwd, InferCtx, InferWorkspace, Value};
 pub use param::{Init, ParamId, ParamStore};

@@ -57,7 +57,8 @@ pub fn fomaml_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
+    use crate::ctx::TrainCtx;
+    use crate::fwd::Value;
 
     #[test]
     fn fomaml_moves_toward_task_optimum() {
@@ -67,7 +68,7 @@ mod tests {
         let cfg = MamlConfig { inner_lr: 0.05, meta_lr: 0.05 };
         for _ in 0..100 {
             fomaml_step(&mut store, cfg, |s| {
-                let ctx = Ctx::train(s, 0);
+                let ctx = TrainCtx::train(s, 0);
                 let p = ctx.param(id);
                 let t = ctx.input(Tensor::from_slice(&[5.0]));
                 p.sub(&t).square().sum_all().backward();
@@ -86,7 +87,7 @@ mod tests {
         let id = store.add(Tensor::from_slice(&[1.0]));
         let cfg = MamlConfig { inner_lr: 0.5, meta_lr: 0.0 };
         fomaml_step(&mut store, cfg, |s| {
-            let ctx = Ctx::train(s, 0);
+            let ctx = TrainCtx::train(s, 0);
             let p = ctx.param(id);
             p.square().sum_all().backward();
             ctx.grads()
@@ -102,7 +103,7 @@ mod tests {
         let id = store.add(Tensor::from_slice(&[0.0]));
         let cfg = MamlConfig { inner_lr: 0.25, meta_lr: 0.1 };
         fomaml_step(&mut store, cfg, |s| {
-            let ctx = Ctx::train(s, 0);
+            let ctx = TrainCtx::train(s, 0);
             let p = ctx.param(id);
             let t = ctx.input(Tensor::from_slice(&[4.0]));
             p.sub(&t).square().sum_all().backward();

@@ -162,14 +162,15 @@ pub fn clip_grad_norm(grads: &mut [(ParamId, Tensor)], max_norm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
+    use crate::ctx::TrainCtx;
+    use crate::fwd::Value;
 
     /// Minimizes (p - 3)^2; any sane optimizer drives p toward 3.
     fn quadratic_descent(mut make_step: impl FnMut(&mut ParamStore, &[(ParamId, Tensor)])) -> f64 {
         let mut store = ParamStore::new();
         let id = store.add(Tensor::from_slice(&[0.0]));
         for _ in 0..200 {
-            let ctx = Ctx::train(&store, 0);
+            let ctx = TrainCtx::train(&store, 0);
             let p = ctx.param(id);
             let target = ctx.input(Tensor::from_slice(&[3.0]));
             let loss = p.sub(&target).square().sum_all();

@@ -1,7 +1,7 @@
 //! Parameter storage shared by all modules of a model.
 //!
 //! Parameters live *outside* the autograd tape: each forward pass introduces
-//! them as tape leaves via [`crate::ctx::Ctx::param`], and the optimizer
+//! them as tape leaves via [`crate::ctx::TrainCtx::param`], and the optimizer
 //! writes updated values back into the store.
 
 use tranad_tensor::{Rng, Shape, Tensor};

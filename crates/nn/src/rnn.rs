@@ -150,7 +150,7 @@ fn stack_time<V: Value>(outputs: &[V], b: usize, len: usize, h: usize) -> V {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
+    use crate::ctx::TrainCtx;
 
     fn setup() -> (ParamStore, Init) {
         (ParamStore::new(), Init::with_seed(0))
@@ -160,7 +160,7 @@ mod tests {
     fn lstm_step_shapes() {
         let (mut store, mut init) = setup();
         let cell = LstmCell::new(&mut store, &mut init, 3, 5);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::ones([2, 3]));
         let (h0, c0) = cell.zero_state(&ctx, 2);
         let (h, c) = cell.step(&ctx, &x, (&h0, &c0));
@@ -172,7 +172,7 @@ mod tests {
     fn lstm_run_over_sequence() {
         let (mut store, mut init) = setup();
         let cell = LstmCell::new(&mut store, &mut init, 2, 4);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let xs = ctx.input(Tensor::from_fn([3, 6, 2], |i| (i as f64 * 0.1).sin()));
         let hs = cell.run(&ctx, &xs);
         assert_eq!(hs.shape().dims(), &[3, 6, 4]);
@@ -185,7 +185,7 @@ mod tests {
         // Output at the last step must depend on the first input.
         let (mut store, mut init) = setup();
         let cell = LstmCell::new(&mut store, &mut init, 1, 3);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let mut a = Tensor::zeros([1, 4, 1]);
         let b = a.clone();
         a.data_mut()[0] = 10.0; // change t=0 only
@@ -200,7 +200,7 @@ mod tests {
     fn gru_run_shapes_and_grads() {
         let (mut store, mut init) = setup();
         let cell = GruCell::new(&mut store, &mut init, 2, 3);
-        let ctx = Ctx::train(&store, 0);
+        let ctx = TrainCtx::train(&store, 0);
         let xs = ctx.input(Tensor::from_fn([2, 5, 2], |i| (i as f64 * 0.2).cos()));
         let hs = cell.run(&ctx, &xs);
         assert_eq!(hs.shape().dims(), &[2, 5, 3]);
@@ -216,7 +216,7 @@ mod tests {
     fn gru_zero_input_zero_state_is_stable() {
         let (mut store, mut init) = setup();
         let cell = GruCell::new(&mut store, &mut init, 2, 3);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::zeros([1, 2]));
         let h = cell.zero_state(&ctx, 1);
         let h1 = cell.step(&ctx, &x, &h);

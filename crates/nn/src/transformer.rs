@@ -170,7 +170,7 @@ impl WindowEncoderLayer {
 mod tests {
     use super::*;
     use crate::attention::causal_mask;
-    use crate::ctx::Ctx;
+    use crate::ctx::TrainCtx;
 
     fn setup() -> (ParamStore, Init) {
         (ParamStore::new(), Init::with_seed(0))
@@ -190,7 +190,7 @@ mod tests {
     fn positional_encoding_broadcasts_over_batch() {
         let pe = PositionalEncoding::new(8, 4);
         let store = ParamStore::new();
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::zeros([3, 5, 4]));
         let y = pe.forward(&ctx, &x).value();
         // all batches identical and equal to the table slice
@@ -208,7 +208,7 @@ mod tests {
     fn positional_encoding_length_check() {
         let pe = PositionalEncoding::new(4, 2);
         let store = ParamStore::new();
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let x = ctx.input(Tensor::zeros([1, 8, 2]));
         pe.forward(&ctx, &x);
     }
@@ -217,7 +217,7 @@ mod tests {
     fn encoder_layer_shape_and_grads() {
         let (mut store, mut init) = setup();
         let layer = EncoderLayer::new(&mut store, &mut init, 8, 2, 16, 0.0);
-        let ctx = Ctx::train(&store, 0);
+        let ctx = TrainCtx::train(&store, 0);
         let x = ctx.input(Tensor::from_fn([2, 5, 8], |i| (i as f64 * 0.07).sin()));
         let y = layer.forward(&ctx, &x, None);
         assert_eq!(y.shape().dims(), &[2, 5, 8]);
@@ -231,7 +231,7 @@ mod tests {
     fn window_encoder_layer_shapes() {
         let (mut store, mut init) = setup();
         let layer = WindowEncoderLayer::new(&mut store, &mut init, 6, 3, 12, 0.0);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let w = ctx.input(Tensor::from_fn([2, 4, 6], |i| (i as f64 * 0.11).cos()));
         let c = ctx.input(Tensor::from_fn([2, 9, 6], |i| (i as f64 * 0.05).sin()));
         let mask = ctx.input(causal_mask(4));
@@ -243,7 +243,7 @@ mod tests {
     fn encoder_output_changes_with_input() {
         let (mut store, mut init) = setup();
         let layer = EncoderLayer::new(&mut store, &mut init, 4, 2, 8, 0.0);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let a = layer
             .forward(&ctx, &ctx.input(Tensor::zeros([1, 3, 4])), None)
             .value();

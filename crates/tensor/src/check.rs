@@ -76,6 +76,7 @@ pub fn assert_gradients_match(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn randomish(shape: &[usize], seed: u64) -> Tensor {
         // Deterministic pseudo-random values in [-1, 1] without pulling in

@@ -12,6 +12,9 @@
 //! - [`Tape`] / [`Var`]: eager operator recording and reverse-mode
 //!   differentiation. A fresh tape per training step; model parameters live
 //!   outside and are re-introduced as leaves.
+//! - [`Value`]: the forward-op surface both run through. `impl Value for
+//!   Tensor` defines every op's forward value once; `Var` calls it and
+//!   records the tape node.
 //! - [`buf`] / [`bufpool`]: shared, copy-on-write tensor storage backed by
 //!   a thread-local buffer pool — tensor clones are O(1) and steady-state
 //!   training steps recycle buffers instead of allocating.
@@ -28,7 +31,7 @@
 //! ## Example
 //!
 //! ```
-//! use tranad_tensor::{Tape, Tensor};
+//! use tranad_tensor::{Tape, Tensor, Value};
 //!
 //! let tape = Tape::new();
 //! let w = tape.leaf(Tensor::from_vec(vec![0.5, -0.5], [1, 2]));
@@ -48,8 +51,10 @@ pub mod rng;
 pub mod shape;
 pub mod tape;
 pub mod tensor;
+pub mod value;
 
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tape::{Tape, Var};
 pub use tensor::{Act, Tensor};
+pub use value::Value;

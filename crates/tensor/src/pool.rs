@@ -277,7 +277,7 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
         return;
     }
     let pool = global();
-    let _guard = pool.submit.lock().unwrap();
+    let guard = pool.submit.lock().unwrap();
     // SAFETY: erase the borrow's lifetime; we block on `job.wait()` below,
     // so the closure outlives every use by the workers.
     let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
@@ -299,6 +299,9 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
     IN_POOL.with(|f| f.set(was_in_pool));
     job.wait();
     pool.retire();
+    // Release the submit lock before re-panicking: unwinding with the guard
+    // held would poison it, and every later parallel call would then fail.
+    drop(guard);
     if job.panicked.load(Ordering::Relaxed) {
         panic!("a tranad-tensor pool task panicked");
     }

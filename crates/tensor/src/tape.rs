@@ -7,6 +7,7 @@
 
 use crate::shape::Shape;
 use crate::tensor::{Act, Tensor};
+use crate::value::Value;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -176,246 +177,24 @@ impl Var {
         );
     }
 
-    fn unary(&self, value: Tensor, op: Op) -> Var {
-        self.tape.push(value, op)
+    /// Records `op` with the value `f` computes from this node's value.
+    fn unary(&self, f: impl FnOnce(&Tensor) -> Tensor, op: Op) -> Var {
+        let v = f(&self.value());
+        self.tape.push(v, op)
     }
 
-    // ---- arithmetic --------------------------------------------------------
-
-    /// Elementwise (broadcasting) addition.
-    pub fn add(&self, other: &Var) -> Var {
+    /// Records `op` with the value `f` computes from two same-tape values.
+    fn binary(&self, other: &Var, f: impl FnOnce(&Tensor, &Tensor) -> Tensor, op: Op) -> Var {
         self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a + b);
-        self.tape.push(v, Op::Add(self.id, other.id))
+        let v = f(&self.value(), &other.value());
+        self.tape.push(v, op)
     }
 
-    /// Elementwise (broadcasting) subtraction.
-    pub fn sub(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a - b);
-        self.tape.push(v, Op::Sub(self.id, other.id))
-    }
-
-    /// Elementwise (broadcasting) multiplication.
-    pub fn mul(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a * b);
-        self.tape.push(v, Op::Mul(self.id, other.id))
-    }
-
-    /// Elementwise (broadcasting) division.
-    pub fn div(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a / b);
-        self.tape.push(v, Op::Div(self.id, other.id))
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Var {
-        let v = self.value().map(|x| -x);
-        self.unary(v, Op::Neg(self.id))
-    }
-
-    /// Multiplication by a constant.
-    pub fn scale(&self, c: f64) -> Var {
-        let v = self.value().map(|x| x * c);
-        self.unary(v, Op::Scale(self.id, c))
-    }
-
-    /// Addition of a constant.
-    pub fn add_scalar(&self, c: f64) -> Var {
-        let v = self.value().map(|x| x + c);
-        self.unary(v, Op::AddScalar(self.id))
-    }
-
-    // ---- linear algebra ----------------------------------------------------
-
-    /// Matrix product (see [`Tensor::matmul`] for supported rank pairs).
-    pub fn matmul(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let _s = tranad_telemetry::span::enter("op.matmul");
-        let v = self.value().matmul(&other.value());
-        self.tape.push(v, Op::Matmul(self.id, other.id))
-    }
-
-    /// Swap of the last two dimensions.
-    pub fn transpose(&self) -> Var {
-        let v = self.value().transpose();
-        self.unary(v, Op::Transpose(self.id))
-    }
-
-    /// Shape reinterpretation (element count preserved).
-    pub fn reshape(&self, shape: impl Into<Shape>) -> Var {
-        let v = self.value().reshape(shape);
-        self.unary(v, Op::Reshape(self.id))
-    }
-
-    // ---- nonlinearities ----------------------------------------------------
-
-    /// Elementwise `exp`.
-    pub fn exp(&self) -> Var {
-        let v = self.value().map(f64::exp);
-        self.unary(v, Op::Exp(self.id))
-    }
-
-    /// Elementwise natural log.
-    pub fn ln(&self) -> Var {
-        let v = self.value().map(f64::ln);
-        self.unary(v, Op::Ln(self.id))
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&self) -> Var {
-        let v = self.value().map(f64::sqrt);
-        self.unary(v, Op::Sqrt(self.id))
-    }
-
-    /// Elementwise square.
-    pub fn square(&self) -> Var {
-        let v = self.value().map(|x| x * x);
-        self.unary(v, Op::Square(self.id))
-    }
-
-    /// Elementwise absolute value (subgradient 0 at 0).
-    pub fn abs(&self) -> Var {
-        let v = self.value().map(f64::abs);
-        self.unary(v, Op::Abs(self.id))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Var {
-        let v = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.unary(v, Op::Sigmoid(self.id))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Var {
-        let v = self.value().map(f64::tanh);
-        self.unary(v, Op::Tanh(self.id))
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Var {
-        let v = self.value().map(|x| x.max(0.0));
-        self.unary(v, Op::Relu(self.id))
-    }
-
-    /// Softmax over the last dimension.
-    pub fn softmax_last(&self) -> Var {
-        let _s = tranad_telemetry::span::enter("op.softmax");
-        let v = self.value().softmax_last();
-        self.unary(v, Op::SoftmaxLast(self.id))
-    }
-
-    /// Layer normalization over the last dimension (no affine; compose with
-    /// `mul`/`add` for scale and shift, or use the fused
-    /// [`Var::layer_norm_affine`]).
-    pub fn layer_norm_last(&self, eps: f64) -> Var {
-        let _s = tranad_telemetry::span::enter("op.layer_norm");
-        let (normed, inv_std) = self.value().layer_norm_parts(eps);
-        self.tape.push(normed, Op::LayerNormLast { x: self.id, inv_std })
-    }
-
-    // ---- fused ops ---------------------------------------------------------
-
-    /// Fused `act(self @ w + b)` — one tape node and one output buffer where
-    /// the unfused chain records three nodes. Numerically identical
-    /// (bitwise) to `self.matmul(w).add(b)` followed by the activation.
-    pub fn linear_act(&self, w: &Var, b: Option<&Var>, act: Act) -> Var {
-        self.same_tape(w);
-        if let Some(b) = b {
-            self.same_tape(b);
-        }
-        let _s = tranad_telemetry::span::enter("op.linear_act");
-        let v = {
-            let inner = self.tape.inner.borrow();
-            let bv = b.map(|b| &inner.nodes[b.id].value);
-            inner.nodes[self.id].value.matmul_bias_act(&inner.nodes[w.id].value, bv, act)
-        };
-        self.tape.push(v, Op::LinearAct { x: self.id, w: w.id, b: b.map(|b| b.id), act })
-    }
-
-    /// Fused affine layer norm `layer_norm(self) * gamma + beta` — one tape
-    /// node instead of three, bitwise identical to the unfused chain.
-    pub fn layer_norm_affine(&self, gamma: &Var, beta: &Var, eps: f64) -> Var {
-        self.same_tape(gamma);
-        self.same_tape(beta);
-        let _s = tranad_telemetry::span::enter("op.layer_norm_affine");
-        let (v, normed, inv_std) = {
-            let inner = self.tape.inner.borrow();
-            let (normed, inv_std) = inner.nodes[self.id].value.layer_norm_parts(eps);
-            let v = normed
-                .scale_shift_last(&inner.nodes[gamma.id].value, &inner.nodes[beta.id].value);
-            (v, normed, inv_std)
-        };
-        self.tape.push(
-            v,
-            Op::LayerNormAffine { x: self.id, gamma: gamma.id, beta: beta.id, normed, inv_std },
-        )
-    }
-
-    /// Fused `(self @ other^T) * scale` (attention scores) — one tape node
-    /// instead of three, without materializing the transpose; bitwise
-    /// identical to `self.matmul(&other.transpose()).scale(scale)`.
-    pub fn matmul_t_scaled(&self, other: &Var, scale: f64) -> Var {
-        self.same_tape(other);
-        let _s = tranad_telemetry::span::enter("op.matmul_t_scale");
-        let v = {
-            let inner = self.tape.inner.borrow();
-            inner.nodes[self.id].value.matmul_nt_scaled(&inner.nodes[other.id].value, scale)
-        };
-        self.tape.push(v, Op::MatmulTScale { a: self.id, b: other.id, scale })
-    }
-
-    // ---- reductions & reshuffles -------------------------------------------
-
-    /// Sum of all elements (rank-0 result).
+    /// Sum of all elements (rank-0 result). The same op as
+    /// [`Value::sum_all`], kept inherent so a caller that only reduces a
+    /// loss and calls [`Var::backward`] need not import the trait.
     pub fn sum_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().sum());
-        self.unary(v, Op::SumAll(self.id))
-    }
-
-    /// Mean of all elements (rank-0 result).
-    pub fn mean_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().mean());
-        self.unary(v, Op::MeanAll(self.id))
-    }
-
-    /// Sum over the last dimension, dropping it.
-    pub fn sum_last(&self) -> Var {
-        let v = self.value().sum_last();
-        self.unary(v, Op::SumLast(self.id))
-    }
-
-    /// Mean over the last dimension, dropping it.
-    pub fn mean_last(&self) -> Var {
-        let v = self.value().mean_last();
-        self.unary(v, Op::MeanLast(self.id))
-    }
-
-    /// Concatenation along the last dimension.
-    pub fn concat_last(parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat of zero vars");
-        let tape = parts[0].tape.clone();
-        for p in parts {
-            parts[0].same_tape(p);
-        }
-        let _s = tranad_telemetry::span::enter("op.concat");
-        let values: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let v = Tensor::concat_last(&refs);
-        tape.push(v, Op::ConcatLast(parts.iter().map(|p| p.id).collect()))
-    }
-
-    /// `len` columns of the last dimension starting at `start`.
-    pub fn narrow_last(&self, start: usize, len: usize) -> Var {
-        let v = self.value().narrow_last(start, len);
-        self.unary(v, Op::NarrowLast { x: self.id, start })
-    }
-
-    /// Mean squared error against `target`: `mean((self - target)^2)`.
-    pub fn mse(&self, target: &Var) -> Var {
-        self.sub(target).square().mean_all()
+        Value::sum_all(self)
     }
 
     // ---- backward ----------------------------------------------------------
@@ -623,6 +402,138 @@ impl Var {
                 }
             }
         }
+    }
+}
+
+/// Every forward value comes from `impl Value for Tensor`; each op here only
+/// adds the tape node backward needs. Layer norm is the one exception: it
+/// calls [`Tensor::layer_norm_parts`] to keep the `inv_std` (and `normed`)
+/// backward reads.
+impl Value for Var {
+    fn add(&self, other: &Var) -> Var {
+        self.binary(other, Value::add, Op::Add(self.id, other.id))
+    }
+    fn sub(&self, other: &Var) -> Var {
+        self.binary(other, Value::sub, Op::Sub(self.id, other.id))
+    }
+    fn mul(&self, other: &Var) -> Var {
+        self.binary(other, Value::mul, Op::Mul(self.id, other.id))
+    }
+    fn div(&self, other: &Var) -> Var {
+        self.binary(other, Value::div, Op::Div(self.id, other.id))
+    }
+    fn neg(&self) -> Var {
+        self.unary(Value::neg, Op::Neg(self.id))
+    }
+    fn scale(&self, c: f64) -> Var {
+        self.unary(|x| x.scale(c), Op::Scale(self.id, c))
+    }
+    fn add_scalar(&self, c: f64) -> Var {
+        self.unary(|x| x.add_scalar(c), Op::AddScalar(self.id))
+    }
+    fn matmul(&self, other: &Var) -> Var {
+        let _s = tranad_telemetry::span::enter("op.matmul");
+        self.binary(other, Value::matmul, Op::Matmul(self.id, other.id))
+    }
+    fn transpose(&self) -> Var {
+        self.unary(Value::transpose, Op::Transpose(self.id))
+    }
+    fn reshape(&self, shape: impl Into<Shape>) -> Var {
+        self.unary(|x| Value::reshape(x, shape), Op::Reshape(self.id))
+    }
+    fn exp(&self) -> Var {
+        self.unary(Value::exp, Op::Exp(self.id))
+    }
+    fn ln(&self) -> Var {
+        self.unary(Value::ln, Op::Ln(self.id))
+    }
+    fn sqrt(&self) -> Var {
+        self.unary(Value::sqrt, Op::Sqrt(self.id))
+    }
+    fn square(&self) -> Var {
+        self.unary(Value::square, Op::Square(self.id))
+    }
+    fn abs(&self) -> Var {
+        self.unary(Value::abs, Op::Abs(self.id))
+    }
+    fn sigmoid(&self) -> Var {
+        self.unary(Value::sigmoid, Op::Sigmoid(self.id))
+    }
+    fn tanh(&self) -> Var {
+        self.unary(Value::tanh, Op::Tanh(self.id))
+    }
+    fn relu(&self) -> Var {
+        self.unary(Value::relu, Op::Relu(self.id))
+    }
+    fn softmax_last(&self) -> Var {
+        let _s = tranad_telemetry::span::enter("op.softmax");
+        self.unary(Value::softmax_last, Op::SoftmaxLast(self.id))
+    }
+    fn layer_norm_last(&self, eps: f64) -> Var {
+        let _s = tranad_telemetry::span::enter("op.layer_norm");
+        let (normed, inv_std) = self.value().layer_norm_parts(eps);
+        self.tape.push(normed, Op::LayerNormLast { x: self.id, inv_std })
+    }
+    /// One tape node where the unfused chain records three.
+    fn linear_act(&self, w: &Var, b: Option<&Var>, act: Act) -> Var {
+        self.same_tape(w);
+        if let Some(b) = b {
+            self.same_tape(b);
+        }
+        let _s = tranad_telemetry::span::enter("op.linear_act");
+        let bv = b.map(Var::value);
+        let v = self.value().linear_act(&w.value(), bv.as_ref(), act);
+        self.tape.push(v, Op::LinearAct { x: self.id, w: w.id, b: b.map(|b| b.id), act })
+    }
+    /// One tape node instead of three; keeps the pre-affine `normed` value
+    /// for backward.
+    fn layer_norm_affine(&self, gamma: &Var, beta: &Var, eps: f64) -> Var {
+        self.same_tape(gamma);
+        self.same_tape(beta);
+        let _s = tranad_telemetry::span::enter("op.layer_norm_affine");
+        let (normed, inv_std) = self.value().layer_norm_parts(eps);
+        let v = normed.scale_shift_last(&gamma.value(), &beta.value());
+        self.tape.push(
+            v,
+            Op::LayerNormAffine { x: self.id, gamma: gamma.id, beta: beta.id, normed, inv_std },
+        )
+    }
+    /// One tape node instead of three, without materializing the transpose.
+    fn matmul_t_scaled(&self, other: &Var, scale: f64) -> Var {
+        let _s = tranad_telemetry::span::enter("op.matmul_t_scale");
+        let op = Op::MatmulTScale { a: self.id, b: other.id, scale };
+        self.binary(other, |a, b| a.matmul_t_scaled(b, scale), op)
+    }
+    fn sum_all(&self) -> Var {
+        self.unary(Value::sum_all, Op::SumAll(self.id))
+    }
+    fn mean_all(&self) -> Var {
+        self.unary(Value::mean_all, Op::MeanAll(self.id))
+    }
+    fn sum_last(&self) -> Var {
+        self.unary(Value::sum_last, Op::SumLast(self.id))
+    }
+    fn mean_last(&self) -> Var {
+        self.unary(Value::mean_last, Op::MeanLast(self.id))
+    }
+    fn concat_last(parts: &[Var]) -> Var {
+        assert!(!parts.is_empty(), "concat of zero vars");
+        for p in parts {
+            parts[0].same_tape(p);
+        }
+        let _s = tranad_telemetry::span::enter("op.concat");
+        let values: Vec<Tensor> = parts.iter().map(Var::value).collect();
+        let op = Op::ConcatLast(parts.iter().map(|p| p.id).collect());
+        parts[0].tape.push(Value::concat_last(&values), op)
+    }
+    fn narrow_last(&self, start: usize, len: usize) -> Var {
+        self.unary(|x| Value::narrow_last(x, start, len), Op::NarrowLast { x: self.id, start })
+    }
+    fn value(&self) -> Tensor {
+        Var::value(self)
+    }
+    fn shape(&self) -> Shape {
+        Var::shape(self)
     }
 }
 

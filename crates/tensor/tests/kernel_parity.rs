@@ -11,7 +11,7 @@
 //! pool-sizing environment axis.
 
 use tranad_tensor::kernels::{self, Epilogue};
-use tranad_tensor::{pool, Act, Rng, Tape, Tensor};
+use tranad_tensor::{pool, Act, Rng, Tape, Tensor, Value};
 
 const CASES: u64 = 48;
 

@@ -7,7 +7,7 @@
 //! the seed for reproduction.
 
 use tranad_tensor::check::check_gradients;
-use tranad_tensor::{Rng, Shape, Tape, Tensor};
+use tranad_tensor::{Rng, Shape, Tape, Tensor, Value};
 
 const CASES: u64 = 48;
 

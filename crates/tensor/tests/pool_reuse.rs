@@ -8,7 +8,7 @@
 //! of overwriting it, the poisoned run would produce NaN (never bitwise
 //! equal to anything) and the comparison would fail.
 
-use tranad_tensor::{bufpool, Act, Rng, Tape, Tensor};
+use tranad_tensor::{bufpool, Act, Rng, Tape, Tensor, Value};
 
 /// Fills the thread-local pool with NaN buffers across a wide range of
 /// size classes, several per class.

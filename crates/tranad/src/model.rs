@@ -272,7 +272,7 @@ fn zero_pad_focus(focus: &Tensor, b: usize, c_len: usize, k: usize, m: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tranad_nn::Ctx;
+    use tranad_nn::TrainCtx;
 
     fn build(dims: usize, config: TranadConfig) -> (ParamStore, TranadModel) {
         let mut store = ParamStore::new();
@@ -281,7 +281,7 @@ mod tests {
         (store, model)
     }
 
-    fn inputs(ctx: &Ctx, b: usize, k: usize, c: usize, m: usize) -> (Var, Var) {
+    fn inputs(ctx: &TrainCtx, b: usize, k: usize, c: usize, m: usize) -> (Var, Var) {
         let w = ctx.input(Tensor::from_fn([b, k, m], |i| ((i % 17) as f64) / 17.0));
         let cx = ctx.input(Tensor::from_fn([b, c, m], |i| ((i % 13) as f64) / 13.0));
         (w, cx)
@@ -291,7 +291,7 @@ mod tests {
     fn forward_shapes() {
         let cfg = TranadConfig::fast();
         let (store, model) = build(3, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let (w, c) = inputs(&ctx, 4, cfg.window, cfg.context, 3);
         let out = model.forward(&ctx, &w, &c);
         assert_eq!(out.o1.shape().dims(), &[4, cfg.window, 3]);
@@ -306,7 +306,7 @@ mod tests {
         // normalized inputs (Eq. 6).
         let cfg = TranadConfig::fast();
         let (store, model) = build(2, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let (w, c) = inputs(&ctx, 2, cfg.window, cfg.context, 2);
         let out = model.forward(&ctx, &w, &c);
         for v in out.o1.value().data() {
@@ -321,7 +321,7 @@ mod tests {
     fn focus_is_squared_deviation() {
         let cfg = TranadConfig::fast();
         let (store, model) = build(1, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let (w, c) = inputs(&ctx, 1, cfg.window, cfg.context, 1);
         let out = model.forward(&ctx, &w, &c);
         let o1 = out.o1.value();
@@ -336,7 +336,7 @@ mod tests {
     fn self_conditioning_off_zeroes_focus() {
         let cfg = TranadConfig { self_conditioning: false, ..TranadConfig::fast() };
         let (store, model) = build(2, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let (w, c) = inputs(&ctx, 1, cfg.window, cfg.context, 2);
         let out = model.forward(&ctx, &w, &c);
         assert!(out.focus.data().iter().all(|&v| v == 0.0));
@@ -356,7 +356,7 @@ mod tests {
     fn feed_forward_ablation_runs() {
         let cfg = TranadConfig { use_transformer: false, ..TranadConfig::fast() };
         let (store, model) = build(3, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let (w, c) = inputs(&ctx, 2, cfg.window, cfg.context, 3);
         let out = model.forward(&ctx, &w, &c);
         assert_eq!(out.o2_hat.shape().dims(), &[2, cfg.window, 3]);
@@ -367,7 +367,7 @@ mod tests {
     fn context_attention_shape() {
         let cfg = TranadConfig::fast();
         let (store, model) = build(2, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let (w, c) = inputs(&ctx, 3, cfg.window, cfg.context, 2);
         let attn = model.context_attention(&ctx, &w, &c).unwrap();
         assert_eq!(attn.shape().dims(), &[3, cfg.context, cfg.context]);
@@ -377,7 +377,7 @@ mod tests {
     fn gradients_flow_through_both_phases() {
         let cfg = TranadConfig::fast();
         let (store, model) = build(2, cfg);
-        let ctx = Ctx::train(&store, 1);
+        let ctx = TrainCtx::train(&store, 1);
         let (w, c) = inputs(&ctx, 2, cfg.window, cfg.context, 2);
         let out = model.forward(&ctx, &w, &c);
         let loss = out.o1.mse(&w).add(&out.o2_hat.mse(&w));
@@ -395,7 +395,7 @@ mod tests {
         // reconstruction must depend on the last position's value.
         let cfg = TranadConfig { bidirectional: true, ..TranadConfig::fast() };
         let (store, model) = build(1, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let base = Tensor::from_fn([1, cfg.window, 1], |i| (i as f64 * 0.1).sin());
         let mut changed = base.clone();
         let last = changed.numel() - 1;
@@ -416,7 +416,7 @@ mod tests {
     fn causal_window_ignores_future() {
         let cfg = TranadConfig::fast();
         let (store, model) = build(1, cfg);
-        let ctx = Ctx::eval(&store);
+        let ctx = TrainCtx::eval(&store);
         let base = Tensor::from_fn([1, cfg.window, 1], |i| (i as f64 * 0.1).sin());
         let mut changed = base.clone();
         let last = changed.numel() - 1;

@@ -15,7 +15,7 @@ use std::time::Instant;
 use tranad_data::{train_val_split, Normalizer, TimeSeries, Windows};
 use tranad_nn::maml::{fomaml_step, MamlConfig};
 use tranad_nn::optim::{AdamW, StepLr};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore, Value};
+use tranad_nn::{Fwd, InferCtx, Init, ParamId, ParamStore, TrainCtx, Value};
 use tranad_telemetry::Recorder;
 use tranad_tensor::Tensor;
 
@@ -136,7 +136,7 @@ pub fn train_with(
             // Update 1: encoder + decoder 1 minimize L1.
             let (loss1, grads1) = {
                 let _p1 = tranad_telemetry::span::enter("train.phase1");
-                let ctx = Ctx::train(&store, step_seed);
+                let ctx = TrainCtx::train(&store, step_seed);
                 let wv = ctx.input(w.clone());
                 let cv = ctx.input(c.clone());
                 let out = model.forward(&ctx, &wv, &cv);
@@ -171,7 +171,7 @@ pub fn train_with(
             let _p2 = tranad_telemetry::span::enter("train.phase2");
             if config.adversarial {
                 let grads2 = {
-                    let ctx = Ctx::train(&store, step_seed ^ 0xD2);
+                    let ctx = TrainCtx::train(&store, step_seed ^ 0xD2);
                     let wv = ctx.input(w.clone());
                     let cv = ctx.input(c.clone());
                     let out = model.forward(&ctx, &wv, &cv);
@@ -192,7 +192,7 @@ pub fn train_with(
                 // reconstruction alongside decoder 1, so grads from update 1
                 // cover it; re-run with d2-only filter for symmetry.
                 let grads2 = {
-                    let ctx = Ctx::train(&store, step_seed ^ 0xD2);
+                    let ctx = TrainCtx::train(&store, step_seed ^ 0xD2);
                     let wv = ctx.input(w.clone());
                     let cv = ctx.input(c.clone());
                     let (_, o2) = model.phase1(&ctx, &wv, &cv);
@@ -221,7 +221,7 @@ pub fn train_with(
             let c = train_windows.context_batch(&mb, config.context);
             let maml_cfg = MamlConfig { inner_lr: opt.lr, meta_lr: config.meta_lr };
             fomaml_step(&mut store, maml_cfg, |s| {
-                let ctx = Ctx::train(s, config.seed ^ 0x3A31 ^ epoch as u64);
+                let ctx = TrainCtx::train(s, config.seed ^ 0x3A31 ^ epoch as u64);
                 let wv = ctx.input(w.clone());
                 let cv = ctx.input(c.clone());
                 let out = model.forward(&ctx, &wv, &cv);

@@ -1,14 +1,14 @@
 //! Taped vs tape-free parity gate.
 //!
 //! The tape-free `InferCtx` path must be a drop-in replacement for the
-//! tape-backed `Ctx::eval` path: identical kernels applied in identical
+//! tape-backed `TrainCtx::eval` path: identical kernels applied in identical
 //! order, so forward outputs and the anomaly scores derived from them are
 //! **bitwise** equal — across random configurations, every ablation
 //! variant, and any thread-pool size.
 
 use tranad::{train_with, Ablation, OnlineState, PotConfig, TrainedTranad, TranadConfig};
 use tranad_data::{SignalRng, TimeSeries, Windows};
-use tranad_nn::{Ctx, Fwd, InferCtx};
+use tranad_nn::{Fwd, InferCtx, TrainCtx};
 use tranad_tensor::pool;
 
 fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
@@ -40,7 +40,7 @@ fn train_tiny(series: &TimeSeries, config: TranadConfig) -> TrainedTranad {
 }
 
 /// The pre-refactor reference: scores every window through the tape-backed
-/// `Ctx::eval` path with the same batch boundaries as `score_normalized`.
+/// `TrainCtx::eval` path with the same batch boundaries as `score_normalized`.
 fn taped_scores(trained: &TrainedTranad, series: &TimeSeries) -> Vec<Vec<f64>> {
     let normalized = trained.normalizer.transform(series);
     let config = *trained.model.config();
@@ -51,7 +51,7 @@ fn taped_scores(trained: &TrainedTranad, series: &TimeSeries) -> Vec<Vec<f64>> {
     let mut out = Vec::with_capacity(n);
     for start in (0..n).step_by(bs) {
         let end = (start + bs).min(n);
-        let ctx = Ctx::eval(&trained.store);
+        let ctx = TrainCtx::eval(&trained.store);
         let w = ctx.input(windows.batch_range(start, end));
         let c = ctx.input(windows.context_batch_range(start, end, config.context));
         let fwd = trained.model.forward(&ctx, &w, &c);
@@ -98,7 +98,7 @@ fn forward_and_scores_bitwise_match_across_random_configs() {
         let w_t = windows.batch_range(0, n);
         let c_t = windows.context_batch_range(0, n, config.context);
 
-        let ctx = Ctx::eval(&trained.store);
+        let ctx = TrainCtx::eval(&trained.store);
         let taped = trained.model.forward(&ctx, &ctx.input(w_t.clone()), &ctx.input(c_t.clone()));
         let ictx = InferCtx::new(&trained.store);
         let free = trained.model.forward(&ictx, &ictx.input(w_t), &ictx.input(c_t));

@@ -6,7 +6,7 @@
 
 use tranad::config::TranadConfig;
 use tranad::model::TranadModel;
-use tranad_nn::{Ctx, Init, ParamStore};
+use tranad_nn::{Init, ParamStore, TrainCtx, Value};
 use tranad_tensor::Tensor;
 
 fn tiny_config() -> TranadConfig {
@@ -26,7 +26,7 @@ fn step_tape_len(config: TranadConfig, dims: usize) -> usize {
     let mut init = Init::with_seed(7);
     let model = TranadModel::new(&mut store, &mut init, dims, config);
 
-    let ctx = Ctx::train(&store, 11);
+    let ctx = TrainCtx::train(&store, 11);
     let b = 4;
     let wv = ctx.input(Tensor::from_fn([b, config.window, dims], |i| {
         (i as f64 * 0.17).sin()

@@ -13,6 +13,10 @@ cargo build --release --workspace
 echo "==> cargo test (offline)"
 cargo test --workspace -q
 
+echo "==> tensor lib tests at 1 and 2 threads (a panicking pool task must not wedge later parallel calls)"
+TRANAD_THREADS=1 cargo test -q -p tranad-tensor --lib
+TRANAD_THREADS=2 cargo test -q -p tranad-tensor --lib
+
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 

@@ -10,7 +10,7 @@ use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_evt::{Pot, PotConfig};
 use tranad_metrics::{point_adjust, roc_auc, Confusion};
 use tranad_tensor::check::check_gradients;
-use tranad_tensor::{Rng, Tape, Tensor};
+use tranad_tensor::{Rng, Tape, Tensor, Value};
 
 const CASES: u64 = 64;
 
